@@ -245,6 +245,14 @@ func median(x []float64) float64 {
 // tracks the squared envelope of its voice band. For an attack recording
 // both derive from the same m(t)^2 term, so the correlation is high; for
 // legitimate speech the low band is unrelated noise.
+//
+// The ±50 ms search runs at the ADC rate (4,801 lags at 48 kHz). That
+// window is wide enough for dsp.MaxCorrelationLag's screen: FFT
+// estimates of every lag's r with a certified error bound (about 1e-7),
+// and the exact Pearson only at lags that bound cannot rule out —
+// typically one. The value is the exhaustive search's, bit for bit;
+// inputs the bound cannot certify (non-finite samples, slices that
+// cancel to near-constant) take the exhaustive loop.
 func lowEnvelopeCorrelation(rec *audio.Signal) float64 {
 	rate := rec.Rate
 	vb := dsp.BandPassFIR(1023, voiceLo/rate, voiceHi/rate).Apply(rec.Samples)

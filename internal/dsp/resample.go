@@ -78,11 +78,12 @@ func resampleSinc(x []float64, ratio, cutoff float64) []float64 {
 	const beta = 8.6
 	outLen := int(math.Round(float64(len(x)) * ratio))
 	out := make([]float64, outLen)
+	den := besselI0(beta) // the Kaiser window's normaliser, constant per call
 	for n := range out {
 		center := float64(n) / ratio
 		i0 := int(math.Floor(center)) - halfTaps + 1
 		i1 := int(math.Floor(center)) + halfTaps
-		var acc, wsum float64
+		var acc float64
 		for i := i0; i <= i1; i++ {
 			if i < 0 || i >= len(x) {
 				continue
@@ -93,12 +94,10 @@ func resampleSinc(x []float64, ratio, cutoff float64) []float64 {
 			if u < -1 || u > 1 {
 				continue
 			}
-			w := besselI0(beta*math.Sqrt(1-u*u)) / besselI0(beta)
+			w := besselI0(beta*math.Sqrt(1-u*u)) / den
 			k := cutoff * sinc(t) * w
 			acc += k * x[i]
-			wsum += k
 		}
-		_ = wsum
 		out[n] = acc
 	}
 	return out

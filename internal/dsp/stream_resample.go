@@ -34,6 +34,9 @@ const streamResampleHalfTaps = 32
 // streamResampleBeta mirrors resampleSinc's Kaiser shape parameter.
 const streamResampleBeta = 8.6
 
+// streamResampleDen is the Kaiser window's normaliser besselI0(beta).
+var streamResampleDen = besselI0(streamResampleBeta)
+
 // NewStreamResampler prepares a converter from rate from to rate to.
 // Integer upsampling ratios >= 2 take the batch path's polyphase design,
 // which this streaming mirror does not reproduce; the simulation chain
@@ -137,7 +140,7 @@ func (s *StreamResampler) kernel(n, totalLen int) float64 {
 		if u < -1 || u > 1 {
 			continue
 		}
-		w := besselI0(streamResampleBeta*math.Sqrt(1-u*u)) / besselI0(streamResampleBeta)
+		w := besselI0(streamResampleBeta*math.Sqrt(1-u*u)) / streamResampleDen
 		k := s.cutoff * sinc(t) * w
 		acc += k * s.buf[i-s.bufStart]
 	}

@@ -44,7 +44,10 @@ import (
 // corrRate is the effective sample rate (Hz) of the decimated
 // correlation traces. Both traces are band-limited to the 16-60 Hz
 // trace band, so ~600 Hz keeps them heavily oversampled while making
-// the final lag search ~decimation² cheaper than at the ADC rate.
+// the final lag search ~decimation² cheaper than at the ADC rate. At
+// 600 Hz the ±50 ms search spans 61 lags, below dsp.MaxCorrelationLag's
+// screening threshold, so it runs the exhaustive per-lag loop; either
+// way the result is the same bits.
 const corrRate = 600.0
 
 // AnalyzerConfig sizes a streaming feature extractor.
