@@ -186,6 +186,9 @@ func (f *FIR) Delay() int { return (len(f.Taps) - 1) / 2 }
 // aligns with input[i]. FFT convolution is used automatically when it is
 // cheaper than the direct form.
 func (f *FIR) Apply(x []float64) []float64 {
+	if len(x) == 0 {
+		return []float64{}
+	}
 	full := convolve(x, f.Taps)
 	d := f.Delay()
 	out := make([]float64, len(x))
@@ -208,7 +211,7 @@ func convolve(a, b []float64) []float64 {
 	// Direct cost ~ len(a)*len(b); FFT cost ~ n log n with n = next pow2 of
 	// the output length. Use FFT when the direct cost is clearly larger.
 	outLen := len(a) + len(b) - 1
-	direct := float64(len(a)) * float64(b2small(len(b)))
+	direct := float64(len(a)) * float64(len(b))
 	n := NextPowerOfTwo(outLen)
 	fftCost := 3 * float64(n) * math.Log2(float64(n))
 	if direct <= fftCost {
@@ -216,8 +219,6 @@ func convolve(a, b []float64) []float64 {
 	}
 	return convolveFFT(a, b, outLen, n)
 }
-
-func b2small(n int) int { return n }
 
 func convolveDirect(a, b []float64) []float64 {
 	out := make([]float64, len(a)+len(b)-1)

@@ -7,8 +7,16 @@
 // STFT frame statistics, Hilbert-envelope correlation -> Features.
 //
 // Streaming path (stream.Analyzer):  frames -> incremental Welch/STFT
-// accumulators (internal/dsp), overlap-save FIR chains with a causal
-// FIR-Hilbert envelope, decimated correlation streams -> Features.
+// accumulators (internal/dsp) and two multirate correlation chains ->
+// Features. The chains compute the correlation traces at ~600 Hz
+// without filtering the ADC-rate stream first:
+//
+//   - trace band: a decimating anti-alias low-pass that evaluates only
+//     the kept outputs, then a short 16-60 Hz band-pass at ~600 Hz;
+//   - squared envelope: one overlap-save pass of the complex kernel
+//     voice band + j*(Hilbert ∗ voice band), folded so it yields the
+//     analytic signal a at rate/k directly (k = 4 at 48 kHz), then |a|²
+//     through the same decimator and band-pass.
 //
 // Parity with the batch extractor on identical input (see
 // TestAnalyzerMatchesBatchExtract):
@@ -20,10 +28,15 @@
 //     a causal FIR Hilbert transformer for the batch full-signal
 //     analytic envelope and correlates decimated (~600 Hz) traces. The
 //     class gap this feature separates is >1.0 on the paper's corpora,
-//     so the tolerance does not move verdicts.
+//     so the tolerance does not move verdicts. The anti-alias stages
+//     reject what decimation folds onto the trace band by 150 dB, more
+//     than the batch 4095-tap band-pass rejects it; the parity is tested
+//     from just above 16 kHz to 192 kHz (TestAnalyzerMatchesBatchExtract)
+//     and over the simulated corpus (TestAnalyzerCorpusParity).
 //
 // Memory per session is bounded: the accumulators hold one analysis
-// frame each, the FIR chains hold one overlap-save segment each, the
+// frame each, the envelope filter one 8k-sample overlap-save segment,
+// the direct-form decimators a few thousand samples each, the
 // correlation traces are decimated and capped at MaxCorrSeconds, and
 // the per-frame band statistics are capped at MaxStatSeconds (sessions
 // longer than the caps compute those features over the capped prefix;
@@ -41,14 +54,46 @@ import (
 	"inaudible/internal/dsp"
 )
 
-// corrRate is the effective sample rate (Hz) of the decimated
-// correlation traces. Both traces are band-limited to the 16-60 Hz
-// trace band, so ~600 Hz keeps them heavily oversampled while making
-// the final lag search ~decimation² cheaper than at the ADC rate. At
-// 600 Hz the ±50 ms search spans 61 lags, below dsp.MaxCorrelationLag's
-// screening threshold, so it runs the exhaustive per-lag loop; either
-// way the result is the same bits.
+// corrRate is the target sample rate (Hz) of the decimated correlation
+// traces; the actual rate is rate/dec (corrFactors), 600 Hz at 48 kHz.
+// Both traces are band-limited to the 16-60 Hz trace band, so ~600 Hz
+// keeps them heavily oversampled while making the final lag search
+// ~dec² cheaper than at the ADC rate. At 600 Hz the ±50 ms search
+// spans 61 lags, below dsp.MaxCorrelationLag's screening threshold, so
+// it runs the exhaustive per-lag loop; either way the result is the
+// same bits.
 const corrRate = 600.0
+
+// Filter lengths of the batch extractor's envelope correlation: the
+// voice band and Hilbert transformer (the envelope kernel is their
+// combination) and the trace-band band-pass, whose response the
+// decimated chains reproduce at rate/dec with refTraceTaps/dec taps.
+const (
+	envTaps      = 1023
+	refTraceTaps = 4095
+)
+
+// envBlock is the preferred fresh-sample count per envelope segment:
+// with the 2045-tap kernel it sizes the transform at 8192 points.
+const envBlock = 6144
+
+// corrFactors picks the envelope factor k and the trace decimation
+// dec = k*m for a session rate. The analytic envelope runs at rate/k:
+// k is the largest power of two with rate/k > (VoiceHi-VoiceLo) +
+// TraceHi, so the trace band of |a|² is alias-free by construction. m
+// brings rate/dec closest to corrRate (at 44.1 kHz, rate/600 truncates
+// to a prime, which no power-of-two k divides).
+func corrFactors(rate float64, b defense.BandPlan) (k, dec int) {
+	k = 1
+	for rate/float64(2*k) > b.VoiceHi-b.VoiceLo+b.TraceHi {
+		k *= 2
+	}
+	m := int(math.Round(rate / (corrRate * float64(k))))
+	if m < 1 {
+		m = 1
+	}
+	return k, k * m
+}
 
 // AnalyzerConfig sizes a streaming feature extractor.
 type AnalyzerConfig struct {
@@ -64,9 +109,6 @@ type AnalyzerConfig struct {
 	// MaxStatSeconds (the Welch-derived features always cover the whole
 	// session in fixed memory).
 	MaxStatSeconds float64
-	// HilbertTaps sizes the causal Hilbert transformer of the envelope
-	// path; <= 0 selects 1023. Must be odd (even values are bumped).
-	HilbertTaps int
 }
 
 // Analyzer incrementally computes defense features for one audio
@@ -91,20 +133,16 @@ type Analyzer struct {
 	maxStatFrames                int
 	k0v, k1v, k0t, k1t, k0h, k1h int
 
-	// Envelope-correlation chains, aligned to input sample indices.
-	lowFIR    *dsp.StreamFIR // x -> trace band
-	vbFIR     *dsp.StreamFIR // x -> voice band
-	hilFIR    *dsp.StreamFIR // voice band -> its Hilbert transform
-	envFIR    *dsp.StreamFIR // squared envelope -> trace band
-	vbQueue   []float64      // voice-band samples awaiting Hilbert outputs
-	qHead     int
-	envSq     []float64 // squared-envelope staging
-	dec       int       // decimation factor of the correlation traces
-	corrCap   int       // max retained decimated samples per trace
-	lowD      []float64 // decimated trace-band stream
-	envD      []float64 // decimated band-limited squared-envelope stream
-	lowIdx    int       // absolute aligned index of the next low sample
-	envIdx    int
+	// Envelope-correlation chains; both emit at rate/dec, output j
+	// aligned with input sample j*dec.
+	lowBand   *dsp.BandDecimator     // x -> trace band
+	env       *dsp.AnalyticDecimator // x -> voice-band analytic signal at rate/k
+	envBand   *dsp.BandDecimator     // |a|² at rate/k -> trace band
+	envSq     []float64              // squared-envelope staging
+	dec       int                    // decimation factor of the correlation traces
+	corrCap   int                    // max retained decimated samples per trace
+	lowD      []float64              // decimated trace-band stream
+	envD      []float64              // decimated band-limited squared-envelope stream
 	corrDone  bool
 	finalized bool
 }
@@ -120,9 +158,6 @@ func NewAnalyzer(cfg AnalyzerConfig) *Analyzer {
 	}
 	if cfg.MaxStatSeconds <= 0 {
 		cfg.MaxStatSeconds = 600
-	}
-	if cfg.HilbertTaps <= 0 {
-		cfg.HilbertTaps = 1023
 	}
 	rate := cfg.Rate
 	a := &Analyzer{
@@ -150,17 +185,20 @@ func NewAnalyzer(cfg AnalyzerConfig) *Analyzer {
 	a.lowP = make([]float64, 0, frameCap)
 	a.highP = make([]float64, 0, frameCap)
 
-	// The chains mirror lowEnvelopeCorrelation's filters exactly; block
-	// hints keep the 4095-tap segments at 16k FFTs.
-	a.lowFIR = dsp.NewStreamFIR(dsp.BandPassFIR(4095, b.TraceLo/rate, b.TraceHi/rate), 8192)
-	a.vbFIR = dsp.NewStreamFIR(dsp.BandPassFIR(1023, b.VoiceLo/rate, b.VoiceHi/rate), 0)
-	a.hilFIR = dsp.NewStreamFIR(dsp.HilbertFIR(cfg.HilbertTaps), 0)
-	a.envFIR = dsp.NewStreamFIR(dsp.BandPassFIR(4095, b.TraceLo/rate, b.TraceHi/rate), 8192)
-
-	a.dec = int(rate / corrRate)
-	if a.dec < 1 {
-		a.dec = 1
+	// The chains reproduce lowEnvelopeCorrelation's filters at the
+	// correlation rate: the same voice band and Hilbert transformer as
+	// one complex kernel, and the trace band-pass scaled to rate/dec.
+	k, dec := corrFactors(rate, b)
+	a.dec = dec
+	traceTaps := refTraceTaps / dec
+	if traceTaps%2 == 0 {
+		traceTaps++
 	}
+	a.lowBand = dsp.NewBandDecimator(rate, dec, b.TraceLo, b.TraceHi, traceTaps)
+	kernel := dsp.AnalyticKernel(dsp.BandPassFIR(envTaps, b.VoiceLo/rate, b.VoiceHi/rate), dsp.HilbertFIR(envTaps))
+	a.env = dsp.NewAnalyticDecimator(kernel, k, envBlock)
+	a.envBand = dsp.NewBandDecimator(rate/float64(k), dec/k, b.TraceLo, b.TraceHi, traceTaps)
+
 	a.corrCap = int(cfg.MaxCorrSeconds*rate)/a.dec + 1
 	a.lowD = make([]float64, 0, a.corrCap)
 	a.envD = make([]float64, 0, a.corrCap)
@@ -204,46 +242,42 @@ func (a *Analyzer) Push(x []float64) {
 	if a.finalized {
 		panic("stream: Analyzer.Push after Finalize (Reset first)")
 	}
-	for _, v := range x {
-		a.energy += v * v
-	}
-	a.total += len(x)
+	a.advance(x)
 	a.welch.Push(x)
 	a.stft.Push(x)
-	if !a.corrDone {
-		a.foldLow(a.lowFIR.Push(x))
-		a.pushEnvChain(a.vbFIR.Push(x))
-		if len(a.lowD) >= a.corrCap && len(a.envD) >= a.corrCap {
-			a.corrDone = true
-		}
-	}
 }
 
 // PushStaged is the column-batched twin of Push: the Welch and STFT
 // accumulators stage their FFT columns into ce instead of transforming
 // inline, and the accumulation completes in CompleteStaged after the
 // shard has run one batched transform per size across every session.
-// The FIR correlation chains still run inline — vb -> Hilbert ->
-// envelope is a sequential data dependency (each filter's input is the
-// previous one's output within the same chunk), so their segments can
-// never be known ahead of the batched pass. PushStaged(x, ce) followed
-// by ce.Run() and CompleteStaged(ce) is bit-identical to Push(x).
+// The correlation chains still run inline — analytic envelope -> |a|²
+// -> decimator is a sequential data dependency (each stage's input is
+// the previous one's output within the same chunk), so their segments
+// can never be known ahead of the batched pass. PushStaged(x, ce)
+// followed by ce.Run() and CompleteStaged(ce) is bit-identical to
+// Push(x).
 func (a *Analyzer) PushStaged(x []float64, ce *ColumnEngines) {
 	if a.finalized {
 		panic("stream: Analyzer.PushStaged after Finalize (Reset first)")
 	}
+	a.advance(x)
+	a.welch.PushStaged(x, ce.Engine(defense.ExtractFFTSize))
+	a.stft.PushStaged(x, ce.Engine(defense.FrameFFTSize))
+}
+
+// advance is the part of Push and PushStaged that does not touch the
+// spectral accumulators: the energy and sample counts, and the
+// correlation chains until both traces reach their cap.
+func (a *Analyzer) advance(x []float64) {
 	for _, v := range x {
 		a.energy += v * v
 	}
 	a.total += len(x)
-	a.welch.PushStaged(x, ce.Engine(defense.ExtractFFTSize))
-	a.stft.PushStaged(x, ce.Engine(defense.FrameFFTSize))
 	if !a.corrDone {
-		a.foldLow(a.lowFIR.Push(x))
-		a.pushEnvChain(a.vbFIR.Push(x))
-		if len(a.lowD) >= a.corrCap && len(a.envD) >= a.corrCap {
-			a.corrDone = true
-		}
+		a.lowD = appendCapped(a.lowD, a.lowBand.Push(x), a.corrCap)
+		a.foldEnv(a.env.Push(x))
+		a.corrDone = len(a.lowD) >= a.corrCap && len(a.envD) >= a.corrCap
 	}
 }
 
@@ -255,60 +289,31 @@ func (a *Analyzer) CompleteStaged(ce *ColumnEngines) {
 	a.stft.FlushStaged(ce.Engine(defense.FrameFFTSize))
 }
 
-// foldLow decimates freshly-available trace-band samples into lowD.
-func (a *Analyzer) foldLow(y []float64) {
-	for _, v := range y {
-		if a.lowIdx%a.dec == 0 && len(a.lowD) < a.corrCap {
-			a.lowD = append(a.lowD, v)
-		}
-		a.lowIdx++
-	}
-}
-
-// foldEnv decimates band-limited squared-envelope samples into envD.
-func (a *Analyzer) foldEnv(y []float64) {
-	for _, v := range y {
-		if a.envIdx%a.dec == 0 && len(a.envD) < a.corrCap {
-			a.envD = append(a.envD, v)
-		}
-		a.envIdx++
-	}
-}
-
-// pushEnvChain advances the envelope path with fresh voice-band samples.
-func (a *Analyzer) pushEnvChain(vb []float64) {
-	if len(vb) == 0 {
-		return
-	}
-	a.vbQueue = append(a.vbQueue, vb...)
-	a.consumeHilbert(a.hilFIR.Push(vb))
-}
-
-// consumeHilbert pairs Hilbert outputs with their queued voice-band
-// samples, squares the envelope and advances the final band-pass.
-func (a *Analyzer) consumeHilbert(hb []float64) {
-	if len(hb) == 0 {
-		return
-	}
-	q := a.vbQueue[a.qHead : a.qHead+len(hb)]
+// foldEnv squares fresh analytic-signal samples and advances the
+// envelope's trace-band decimator.
+func (a *Analyzer) foldEnv(z []complex128) {
 	a.envSq = a.envSq[:0]
-	for i, h := range hb {
-		e := math.Hypot(q[i], h)
-		a.envSq = append(a.envSq, e*e)
+	for _, v := range z {
+		re, im := real(v), imag(v)
+		a.envSq = append(a.envSq, re*re+im*im)
 	}
-	a.qHead += len(hb)
-	if a.qHead > 4096 && 2*a.qHead > len(a.vbQueue) {
-		n := copy(a.vbQueue, a.vbQueue[a.qHead:])
-		a.vbQueue = a.vbQueue[:n]
-		a.qHead = 0
+	a.envD = appendCapped(a.envD, a.envBand.Push(a.envSq), a.corrCap)
+}
+
+// appendCapped appends y to dst up to limit elements in total.
+func appendCapped(dst, y []float64, limit int) []float64 {
+	if room := limit - len(dst); len(y) > room {
+		y = y[:max(room, 0)]
 	}
-	a.foldEnv(a.envFIR.Push(a.envSq))
+	return append(dst, y...)
 }
 
 // Features returns a mid-stream snapshot: the frame statistics and PSD
 // cover every sample pushed so far; the correlation covers the aligned
-// prefix that has cleared the filter chains (~2650 samples behind).
-// Unlike Push, a snapshot allocates (it copies the PSD).
+// prefix that has cleared the filter chains: at 48 kHz up to ~9,700
+// samples (0.2 s) behind — one 6,148-sample envelope segment of
+// buffering plus ~3,500 samples of filter delay. Unlike Push, a
+// snapshot allocates (it copies the PSD).
 func (a *Analyzer) Features() defense.Features { return a.features() }
 
 // Finalize flushes the filter chains and returns the feature vector for
@@ -318,10 +323,9 @@ func (a *Analyzer) Features() defense.Features { return a.features() }
 func (a *Analyzer) Finalize() defense.Features {
 	if !a.finalized {
 		if !a.corrDone {
-			a.foldLow(a.lowFIR.Flush())
-			a.pushEnvChain(a.vbFIR.Flush())
-			a.consumeHilbert(a.hilFIR.Flush())
-			a.foldEnv(a.envFIR.Flush())
+			a.lowD = appendCapped(a.lowD, a.lowBand.Flush(), a.corrCap)
+			a.foldEnv(a.env.Flush())
+			a.envD = appendCapped(a.envD, a.envBand.Flush(), a.corrCap)
 		}
 		a.finalized = true
 	}
@@ -338,16 +342,12 @@ func (a *Analyzer) Reset() {
 	a.voiceP = a.voiceP[:0]
 	a.lowP = a.lowP[:0]
 	a.highP = a.highP[:0]
-	a.lowFIR.Reset()
-	a.vbFIR.Reset()
-	a.hilFIR.Reset()
-	a.envFIR.Reset()
-	a.vbQueue = a.vbQueue[:0]
-	a.qHead = 0
+	a.lowBand.Reset()
+	a.env.Reset()
+	a.envBand.Reset()
 	a.envSq = a.envSq[:0]
 	a.lowD = a.lowD[:0]
 	a.envD = a.envD[:0]
-	a.lowIdx, a.envIdx = 0, 0
 	a.corrDone = false
 	a.finalized = false
 }
@@ -393,7 +393,7 @@ func (a *Analyzer) corr() float64 {
 	if n == 0 {
 		return 0
 	}
-	maxLag := int(a.cfg.Rate*defense.CorrMaxLagSeconds) / a.dec
+	maxLag := int(a.cfg.Rate / float64(a.dec) * defense.CorrMaxLagSeconds)
 	c, _ := dsp.MaxCorrelationLag(a.lowD[:n], a.envD[:n], maxLag)
 	return c
 }

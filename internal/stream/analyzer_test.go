@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -75,19 +76,23 @@ func assertParity(t *testing.T, name string, got, want defense.Features) {
 }
 
 func TestAnalyzerMatchesBatchExtract(t *testing.T) {
-	const rate = 48000.0
-	signals := map[string]*audio.Signal{
-		"attack-like": attackLike(rate, 2.5, 1),
-		"legit-like":  legitLike(rate, 2.5, 2),
-	}
-	for name, sig := range signals {
-		want := defense.Extract(sig)
-		for _, chunk := range []int{960, 4096, 1} {
-			if chunk == 1 && testing.Short() {
-				continue
+	// Every rate class the server accepts: 48 kHz, 44.1 kHz (rate/600
+	// truncates to a prime), 96 and 192 kHz, and just above the floor
+	// where the envelope runs at rate/2.
+	for _, rate := range []float64{48000, 44100, 96000, 192000, MinSampleRate() + 1} {
+		signals := map[string]*audio.Signal{
+			"attack-like": attackLike(rate, 2.5, 1),
+			"legit-like":  legitLike(rate, 2.5, 2),
+		}
+		for name, sig := range signals {
+			want := defense.Extract(sig)
+			for _, chunk := range []int{960, 4096, 1} {
+				if chunk == 1 && (testing.Short() || rate != 48000) {
+					continue
+				}
+				got := Extract(sig, chunk)
+				assertParity(t, fmt.Sprintf("%s@%v/%d", name, rate, chunk), got, want)
 			}
-			got := Extract(sig, chunk)
-			assertParity(t, name, got, want)
 		}
 	}
 }

@@ -1,12 +1,45 @@
 package stream_test
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"inaudible/internal/core"
+	"inaudible/internal/defense"
 	"inaudible/internal/experiment"
 	"inaudible/internal/stream"
 )
+
+var (
+	corpusOnce sync.Once
+	corpusRecs []experiment.Recording
+	corpusErr  error
+)
+
+// quickCorpus builds the E9-E13 style simulated corpus (quick grid,
+// legit then attack recordings) once per test binary.
+func quickCorpus(t *testing.T) []experiment.Recording {
+	t.Helper()
+	corpusOnce.Do(func() {
+		cfg := experiment.QuickCorpusConfig(experiment.DefaultCorpusConfig(core.DefaultScenario()))
+		legit, err := experiment.BuildLegit(cfg)
+		if err != nil {
+			corpusErr = err
+			return
+		}
+		attacks, err := experiment.BuildAttacks(cfg)
+		if err != nil {
+			corpusErr = err
+			return
+		}
+		corpusRecs = append(legit, attacks...)
+	})
+	if corpusErr != nil {
+		t.Fatalf("building corpus: %v", corpusErr)
+	}
+	return corpusRecs
+}
 
 // TestCascadeCorpusParity is the false-negative budget gate: over the
 // E9-E13 style simulated corpus (quick grid), the cascade must not
@@ -25,16 +58,7 @@ func TestCascadeCorpusParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus simulation in -short mode")
 	}
-	cfg := experiment.QuickCorpusConfig(experiment.DefaultCorpusConfig(core.DefaultScenario()))
-	legit, err := experiment.BuildLegit(cfg)
-	if err != nil {
-		t.Fatalf("building legit corpus: %v", err)
-	}
-	attacks, err := experiment.BuildAttacks(cfg)
-	if err != nil {
-		t.Fatalf("building attack corpus: %v", err)
-	}
-	recs := append(legit, attacks...)
+	recs := quickCorpus(t)
 	det := stream.TestDetectorForParity(t)
 
 	for _, tc := range []struct {
@@ -73,4 +97,47 @@ func TestCascadeCorpusParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAnalyzerCorpusParity holds the streaming analyzer to the batch
+// extractor on simulated corpus audio, not only on synthetic signals:
+// for every recording the four spectral features must match within
+// exactTol and LowEnvCorr within corrTol (the tolerances of the
+// in-package parity tests). The worst LowEnvCorr gap is logged so drift
+// in the decimated correlation chains shows long before the bound.
+func TestAnalyzerCorpusParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus simulation in -short mode")
+	}
+	const (
+		exactTol = 1e-9
+		corrTol  = 0.15
+	)
+	var worst float64
+	var worstLabel string
+	for _, rec := range quickCorpus(t) {
+		want := defense.Extract(rec.Signal)
+		got := stream.Extract(rec.Signal, 960)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"TraceSNR", got.TraceSNR, want.TraceSNR},
+			{"HighSNR", got.HighSNR, want.HighSNR},
+			{"Sub50LogRatio", got.Sub50LogRatio, want.Sub50LogRatio},
+			{"HighLogRatio", got.HighLogRatio, want.HighLogRatio},
+		} {
+			if math.Abs(c.got-c.want) > exactTol {
+				t.Errorf("%s/%s: streaming %.12g vs batch %.12g", rec.Label, c.name, c.got, c.want)
+			}
+		}
+		gap := math.Abs(got.LowEnvCorr - want.LowEnvCorr)
+		if gap > corrTol {
+			t.Errorf("%s/LowEnvCorr: streaming %.4f vs batch %.4f (tol %g)", rec.Label, got.LowEnvCorr, want.LowEnvCorr, corrTol)
+		}
+		if gap >= worst {
+			worst, worstLabel = gap, rec.Label
+		}
+	}
+	t.Logf("worst LowEnvCorr gap %.4f (%s)", worst, worstLabel)
 }

@@ -27,7 +27,7 @@ go test -race -timeout 20m ./internal/stream ./internal/fleet ./internal/telemet
 echo "==> go test (full suite, incl. E1-E13 golden cold/warm/parallel pins)"
 go test -timeout 40m ./...
 
-echo "==> fuzz smoke (WAV decoder + spec loader + GRD1/GRDX framing + lag screen)"
+echo "==> fuzz smoke (WAV decoder + spec loader + GRD1/GRDX framing + lag screen + decimator)"
 go test ./internal/audio -run '^$' -fuzz FuzzWAVReader -fuzztime 10s
 go test ./internal/sim -run '^$' -fuzz FuzzSpecLoader -fuzztime 10s
 # -fuzzminimizetime 100x: exec-bounded minimization; the default
@@ -37,6 +37,7 @@ go test ./internal/dsp -run '^$' -fuzz FuzzBatchedRFFT -fuzztime 10s -fuzzminimi
 go test ./internal/journal -run '^$' -fuzz FuzzJournalSegmentDecoder -fuzztime 10s -fuzzminimizetime 100x
 go test ./internal/cluster -run '^$' -fuzz FuzzGRDXFrame -fuzztime 10s -fuzzminimizetime 100x
 go test ./internal/dsp -run '^$' -fuzz FuzzMaxCorrelationLag -fuzztime 10s -fuzzminimizetime 100x
+go test ./internal/dsp -run '^$' -fuzz FuzzDecimatingFIR -fuzztime 10s -fuzzminimizetime 100x
 
 echo "==> short benchmarks (trial engine + sweep cache + FFT plan cache + stream guard + sim chain)"
 go test ./internal/experiment -run '^$' -bench 'E5Serial|E5Parallel' -benchtime 1x -timeout 30m
