@@ -95,7 +95,9 @@ func NewDecimatingFIR(f *FIR, factor int) *DecimatingFIR {
 		rev:    make([]float64, taps),
 		factor: factor,
 		delay:  (taps - 1) / 2,
-		buf:    make([]float64, 0, 4*taps+1024),
+		// Slack past the taps-1 history keeps compaction (a copy of at
+		// most taps-1 samples) rare.
+		buf: make([]float64, 0, 4*taps+1024),
 	}
 	for i, h := range f.Taps {
 		d.rev[taps-1-i] = h
